@@ -144,9 +144,11 @@ func BenchmarkViaMap_Off(b *testing.B) { benchViaMap(b, false) }
 
 // --- Experiment E-CHAN: channel list vs binary tree (Section 12) ---------
 // "The change from binary tree to doubly linked list with a moving
-// head-of-list pointer halved the running time on most problems." The
-// benchmark replays an identical, locality-heavy operation trace — the
-// router's access pattern — against both structures.
+// head-of-list pointer halved the running time on most problems." Our
+// channel keeps the moving cursor but not the links: it is a sorted span
+// array walked by an index cursor (internal/layer). The benchmark
+// replays an identical, locality-heavy operation trace — the router's
+// access pattern — against it and the tree.
 
 type chanOp struct {
 	kind byte // 'a' add, 'r' remove, 'p' probe

@@ -12,6 +12,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
@@ -118,7 +119,8 @@ func NewConfig(viaCols, viaRows, pitch, layers int) Config {
 	return c
 }
 
-// Validate reports configuration errors: non-positive extents, a pitch
+// Validate reports configuration errors: non-positive extents or extents
+// beyond the int32 range the layer store keeps positions in, a pitch
 // that does not embed at least one via site, or an empty/unbalanced
 // layer stack (routing needs at least one layer of each orientation to
 // make L-shaped connections; a single-orientation stack can only route
@@ -126,6 +128,9 @@ func NewConfig(viaCols, viaRows, pitch, layers int) Config {
 func (c Config) Validate() error {
 	if c.Width <= 0 || c.Height <= 0 {
 		return fmt.Errorf("grid: non-positive board extent %dx%d", c.Width, c.Height)
+	}
+	if c.Width > math.MaxInt32 || c.Height > math.MaxInt32 {
+		return fmt.Errorf("grid: board extent %dx%d exceeds the int32 range of channel positions", c.Width, c.Height)
 	}
 	if c.Pitch <= 0 {
 		return fmt.Errorf("grid: non-positive via pitch %d", c.Pitch)

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -49,7 +50,10 @@ func TestNewConfig(t *testing.T) {
 }
 
 func TestConfigValidateRejects(t *testing.T) {
+	huge := math.MaxInt32
+	huge++ // past the int32 positions of the layer store (negative where int is 32 bits)
 	bad := []Config{
+		{Width: huge, Height: 5, Pitch: 3, Layers: []Orientation{Vertical}},
 		{Width: 0, Height: 5, Pitch: 3, Layers: []Orientation{Vertical}},
 		{Width: 5, Height: 5, Pitch: 0, Layers: []Orientation{Vertical}},
 		{Width: 5, Height: 5, Pitch: 3, Layers: nil},

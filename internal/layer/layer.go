@@ -1,17 +1,23 @@
 // Package layer implements the paper's Section 4 data representation for
-// one signal layer: an array of channels, each holding a doubly linked,
-// position-sorted list of segments with a moving head-of-list cursor.
+// one signal layer: an array of channels, each holding its segments in
+// position order with a moving head-of-list cursor.
 //
 // Free space is never stored; it is inferred from the gaps between
 // segments. The moving cursor exploits the strong locality of the access
 // pattern while routing a single connection — the change from a binary
-// tree of segments to this structure halved grr's running time
+// tree of segments to a cursor-walked list halved grr's running time
 // (Section 12; the tree variant is kept in this package for the
-// corresponding ablation benchmark).
+// corresponding ablation benchmark). The paper's list was doubly
+// linked; here a channel is a packed array of int32 spans, so the
+// cursor is an index walked over contiguous memory and a search reads
+// no segment pointers at all. The *Segment records survive only as
+// stable handles for the callers that remove metal later.
 package layer
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/geom"
@@ -41,12 +47,13 @@ func (id ConnID) Permanent() bool { return id < 0 }
 
 // Segment is a used interval [Lo, Hi] of one channel, owned by one
 // connection. Segments of a channel never overlap and are kept sorted.
+// A *Segment is a stable handle: it stays valid for Remove however many
+// neighbours are added or removed around it.
 type Segment struct {
 	Lo, Hi int
 	Owner  ConnID
 
-	prev, next *Segment
-	ch         *Channel
+	ch int32 // 1 + index of the channel holding s; 0 once removed
 }
 
 // Interval returns the occupied range of s.
@@ -54,26 +61,24 @@ func (s *Segment) Interval() geom.Interval { return geom.Iv(s.Lo, s.Hi) }
 
 // Channel returns the channel index s lives in, and is only valid while s
 // is stored.
-func (s *Segment) Channel() int { return s.ch.index }
+func (s *Segment) Channel() int { return int(s.ch) - 1 }
 
-// Stored reports whether s is currently linked into a channel. A false
+// Stored reports whether s is currently held by a channel. A false
 // result means the segment handle is stale (its metal was removed).
-func (s *Segment) Stored() bool { return s.ch != nil }
+func (s *Segment) Stored() bool { return s.ch != 0 }
 
-// Next returns the next-higher segment in the same channel, or nil.
-func (s *Segment) Next() *Segment { return s.next }
+// span is the packed [lo, hi] of one stored segment.
+type span struct{ lo, hi int32 }
 
-// Prev returns the next-lower segment in the same channel, or nil.
-func (s *Segment) Prev() *Segment { return s.prev }
-
-// Channel is one routing channel: a doubly linked list of segments sorted
-// by position, plus the moving cursor that makes localized probes cheap.
+// Channel is one routing channel: the position-sorted spans of its
+// segments, their handles in the same order, and the moving cursor that
+// makes localized probes cheap.
 type Channel struct {
-	head, tail *Segment
-	cursor     *Segment
-	length     int
-	index      int
-	count      int
+	spans  []span     // sorted, disjoint
+	segs   []*Segment // segs[i] is the handle of spans[i]
+	cursor int        // index hint in [0, len(spans)]
+	length int
+	index  int
 }
 
 // Layer is one signal layer of the board.
@@ -86,8 +91,12 @@ type Layer struct {
 }
 
 // NewLayer builds an empty layer with the given orientation, channel
-// count and channel length, occupying stack position index.
+// count and channel length, occupying stack position index. Channel
+// indices and positions are stored as int32.
 func NewLayer(orient grid.Orientation, index, numChans, chanLen int) *Layer {
+	if numChans > math.MaxInt32 || chanLen > math.MaxInt32 {
+		panic("layer: channel count or length exceeds int32")
+	}
 	l := &Layer{
 		Orient:  orient,
 		Index:   index,
@@ -122,39 +131,36 @@ func (l *Layer) Add(ch, lo, hi int, owner ConnID) *Segment {
 }
 
 // Remove unlinks a previously added segment.
-func (l *Layer) Remove(s *Segment) { s.ch.Remove(s) }
+func (l *Layer) Remove(s *Segment) {
+	if !s.Stored() {
+		panic("layer: Remove of a segment that is not stored")
+	}
+	l.chans[s.Channel()].Remove(s)
+}
 
 // Index returns the channel index of c within its layer.
 func (c *Channel) Index() int { return c.index }
 
 // Len returns the number of segments stored in c.
-func (c *Channel) Len() int { return c.count }
+func (c *Channel) Len() int { return len(c.spans) }
 
-// locate positions the cursor on the segment with the smallest Hi >= pos
-// and returns it (nil if every segment ends below pos, i.e. pos is above
-// the last segment). Starting the walk from the previous cursor position
-// is the paper's "moving head-of-list pointer".
-func (c *Channel) locate(pos int) *Segment {
-	s := c.cursor
-	if s == nil {
-		s = c.head
-		if s == nil {
-			return nil
-		}
+// locate positions the cursor on the first span with hi >= pos and
+// returns its index (len(c.spans) if every segment ends below pos).
+// Starting the walk from the previous cursor position is the paper's
+// "moving head-of-list pointer"; the walk steps over adjacent spans in
+// one array.
+func (c *Channel) locate(pos int) int {
+	sp := c.spans
+	p := int32(pos)
+	i := min(c.cursor, len(sp))
+	for i < len(sp) && sp[i].hi < p {
+		i++
 	}
-	// Walk toward pos from wherever the last operation left the cursor.
-	for s.Hi < pos {
-		if s.next == nil {
-			c.cursor = s
-			return nil
-		}
-		s = s.next
+	for i > 0 && sp[i-1].hi >= p {
+		i--
 	}
-	for s.prev != nil && s.prev.Hi >= pos {
-		s = s.prev
-	}
-	c.cursor = s
-	return s
+	c.cursor = i
+	return i
 }
 
 // Add inserts [lo, hi] owned by owner, returning the new segment or nil
@@ -163,60 +169,26 @@ func (c *Channel) Add(lo, hi int, owner ConnID) *Segment {
 	if lo > hi || lo < 0 || hi >= c.length {
 		return nil
 	}
-	after := c.locate(lo) // first segment with Hi >= lo
-	if after != nil && after.Lo <= hi {
+	i := c.locate(lo) // first span with hi >= lo
+	if i < len(c.spans) && int(c.spans[i].lo) <= hi {
 		return nil // collision
 	}
-	s := &Segment{Lo: lo, Hi: hi, Owner: owner, ch: c}
-	if after == nil {
-		// Append at tail.
-		s.prev = c.tail
-		if c.tail != nil {
-			c.tail.next = s
-		} else {
-			c.head = s
-		}
-		c.tail = s
-	} else {
-		s.next = after
-		s.prev = after.prev
-		after.prev = s
-		if s.prev != nil {
-			s.prev.next = s
-		} else {
-			c.head = s
-		}
-	}
-	c.cursor = s
-	c.count++
+	s := &Segment{Lo: lo, Hi: hi, Owner: owner, ch: int32(c.index) + 1}
+	c.spans = slices.Insert(c.spans, i, span{int32(lo), int32(hi)})
+	c.segs = slices.Insert(c.segs, i, s)
 	return s
 }
 
 // Remove unlinks s from c. Removing a segment that is not stored in c is
 // a logic error and panics.
 func (c *Channel) Remove(s *Segment) {
-	if s.ch != c {
+	i := c.locate(s.Lo)
+	if i == len(c.segs) || c.segs[i] != s {
 		panic("layer: Remove of segment from wrong channel")
 	}
-	if s.prev != nil {
-		s.prev.next = s.next
-	} else {
-		c.head = s.next
-	}
-	if s.next != nil {
-		s.next.prev = s.prev
-	} else {
-		c.tail = s.prev
-	}
-	if c.cursor == s {
-		if s.next != nil {
-			c.cursor = s.next
-		} else {
-			c.cursor = s.prev
-		}
-	}
-	s.prev, s.next, s.ch = nil, nil, nil
-	c.count--
+	c.spans = slices.Delete(c.spans, i, i+1)
+	c.segs = slices.Delete(c.segs, i, i+1)
+	s.ch = 0
 }
 
 // SegmentAt returns the segment covering pos, or nil if pos is free or
@@ -225,9 +197,9 @@ func (c *Channel) SegmentAt(pos int) *Segment {
 	if pos < 0 || pos >= c.length {
 		return nil
 	}
-	s := c.locate(pos)
-	if s != nil && s.Lo <= pos {
-		return s
+	i := c.locate(pos)
+	if i < len(c.spans) && int(c.spans[i].lo) <= pos {
+		return c.segs[i]
 	}
 	return nil
 }
@@ -247,18 +219,16 @@ func (c *Channel) FreeInterval(pos int) (iv geom.Interval, ok bool) {
 	if pos < 0 || pos >= c.length {
 		return geom.Interval{}, false
 	}
-	s := c.locate(pos)
-	if s != nil && s.Lo <= pos {
-		return geom.Interval{}, false
-	}
+	i := c.locate(pos)
 	lo, hi := 0, c.length-1
-	if s != nil {
-		hi = s.Lo - 1
-		if s.prev != nil {
-			lo = s.prev.Hi + 1
+	if i < len(c.spans) {
+		if int(c.spans[i].lo) <= pos {
+			return geom.Interval{}, false
 		}
-	} else if c.tail != nil {
-		lo = c.tail.Hi + 1
+		hi = int(c.spans[i].lo) - 1
+	}
+	if i > 0 {
+		lo = int(c.spans[i-1].hi) + 1
 	}
 	return geom.Iv(lo, hi), true
 }
@@ -273,23 +243,15 @@ func (c *Channel) VisitFree(win geom.Interval, f func(iv geom.Interval) bool) {
 	if win.Empty() {
 		return
 	}
-	s := c.locate(win.Lo) // first segment with Hi >= win.Lo
+	i := c.locate(win.Lo) // first span with hi >= win.Lo
+	sp := c.spans
 	lo := 0
-	if s == nil {
-		if c.tail != nil {
-			lo = c.tail.Hi + 1
-		}
-		if lo <= c.length-1 {
-			f(geom.Iv(lo, c.length-1))
-		}
-		return
+	if i > 0 {
+		lo = int(sp[i-1].hi) + 1
 	}
-	if s.prev != nil {
-		lo = s.prev.Hi + 1
-	}
-	for {
-		if lo <= s.Lo-1 {
-			iv := geom.Iv(lo, s.Lo-1)
+	for ; i < len(sp); i++ {
+		if slo := int(sp[i].lo); lo < slo {
+			iv := geom.Iv(lo, slo-1)
 			if iv.Overlaps(win) && !f(iv) {
 				return
 			}
@@ -297,17 +259,13 @@ func (c *Channel) VisitFree(win geom.Interval, f func(iv geom.Interval) bool) {
 				return
 			}
 		}
-		lo = s.Hi + 1
+		lo = int(sp[i].hi) + 1
 		if lo > win.Hi {
 			return
 		}
-		if s.next == nil {
-			if lo <= c.length-1 {
-				f(geom.Iv(lo, c.length-1))
-			}
-			return
-		}
-		s = s.next
+	}
+	if lo <= c.length-1 {
+		f(geom.Iv(lo, c.length-1))
 	}
 }
 
@@ -318,12 +276,11 @@ func (c *Channel) VisitUsed(win geom.Interval, f func(s *Segment) bool) {
 	if win.Empty() {
 		return
 	}
-	s := c.locate(win.Lo)
-	for s != nil && s.Lo <= win.Hi {
-		if !f(s) {
+	sp, segs := c.spans, c.segs
+	for i := c.locate(win.Lo); i < len(sp) && int(sp[i].lo) <= win.Hi; i++ {
+		if !f(segs[i]) {
 			return
 		}
-		s = s.next
 	}
 }
 
@@ -335,7 +292,7 @@ func (c *Channel) VisitUsed(win geom.Interval, f func(s *Segment) bool) {
 // it.
 func (l *Layer) VisitSegments(f func(ch int, s *Segment) bool) {
 	for i := range l.chans {
-		for s := l.chans[i].head; s != nil; s = s.next {
+		for _, s := range l.chans[i].segs {
 			if !f(i, s) {
 				return
 			}
@@ -344,44 +301,36 @@ func (l *Layer) VisitSegments(f func(ch int, s *Segment) bool) {
 }
 
 // audit validates the channel invariants, returning a description of the
-// first violation found, or "" if the channel is consistent. Tests use it
-// after randomized operation sequences.
+// first violation found, or "" if the channel is consistent: the spans
+// are in bounds, sorted and disjoint, and every handle is stored in this
+// channel with the bounds of its span. Tests use it after randomized
+// operation sequences.
 func (c *Channel) audit() string {
-	var prev *Segment
-	n := 0
-	for s := c.head; s != nil; s = s.next {
-		n++
-		if s.ch != c {
+	if len(c.segs) != len(c.spans) {
+		return fmt.Sprintf("%d spans but %d handles", len(c.spans), len(c.segs))
+	}
+	for i, sp := range c.spans {
+		iv := geom.Iv(int(sp.lo), int(sp.hi))
+		if iv.Lo > iv.Hi || iv.Lo < 0 || iv.Hi >= c.length {
+			return fmt.Sprintf("span %v out of bounds (len %d)", iv, c.length)
+		}
+		if i > 0 && c.spans[i-1].hi >= sp.lo {
+			prev := c.spans[i-1]
+			return fmt.Sprintf("spans %v and %v overlap or are unsorted", geom.Iv(int(prev.lo), int(prev.hi)), iv)
+		}
+		s := c.segs[i]
+		if s == nil {
+			return fmt.Sprintf("span %v has no handle", iv)
+		}
+		if s.Channel() != c.index {
 			return fmt.Sprintf("segment %v has wrong channel backref", s.Interval())
 		}
-		if s.Lo > s.Hi || s.Lo < 0 || s.Hi >= c.length {
-			return fmt.Sprintf("segment %v out of bounds (len %d)", s.Interval(), c.length)
+		if s.Interval() != iv {
+			return fmt.Sprintf("handle %v disagrees with span %v", s.Interval(), iv)
 		}
-		if s.prev != prev {
-			return fmt.Sprintf("segment %v has broken prev link", s.Interval())
-		}
-		if prev != nil && prev.Hi >= s.Lo {
-			return fmt.Sprintf("segments %v and %v overlap or are unsorted", prev.Interval(), s.Interval())
-		}
-		prev = s
 	}
-	if c.tail != prev {
-		return "tail does not point at last segment"
-	}
-	if n != c.count {
-		return fmt.Sprintf("count %d but %d segments linked", c.count, n)
-	}
-	if c.cursor != nil {
-		found := false
-		for s := c.head; s != nil; s = s.next {
-			if s == c.cursor {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return "cursor points at unlinked segment"
-		}
+	if c.cursor < 0 || c.cursor > len(c.spans) {
+		return fmt.Sprintf("cursor %d outside [0, %d]", c.cursor, len(c.spans))
 	}
 	return ""
 }
@@ -405,7 +354,7 @@ func (l *Layer) Dump() string {
 		for j := range row {
 			row[j] = '.'
 		}
-		for s := l.chans[i].head; s != nil; s = s.next {
+		for _, s := range l.chans[i].segs {
 			mark := byte('#')
 			if s.Owner >= 0 {
 				mark = "0123456789abcdef"[int(s.Owner)%16]

@@ -158,23 +158,37 @@ func TestVisitUsed(t *testing.T) {
 	}
 }
 
-// TestChannelRandomOpsAgainstBitmap drives a channel with random
-// operations and cross-checks every observation against a brute-force
-// bitmap oracle.
+// TestChannelRandomOpsAgainstBitmap drives the channels of a layer with
+// random operations and cross-checks every observation against a
+// brute-force bitmap oracle. It also holds on to every *Segment handle
+// it is given: live handles must keep reporting Stored, their channel
+// and their own metal while neighbours are added and removed around
+// them, removal goes through those old handles (via the channel or the
+// layer), and removed handles must report !Stored.
 func TestChannelRandomOpsAgainstBitmap(t *testing.T) {
-	const length = 64
+	const (
+		chans  = 3
+		length = 64
+	)
+	type handle struct {
+		s  *Segment
+		ch int
+	}
 	rng := rand.New(rand.NewSource(42))
 
 	for trial := 0; trial < 50; trial++ {
-		l := NewLayer(grid.Vertical, 0, 1, length)
-		c := l.Chan(0)
-		var bitmap [length]ConnID
-		for i := range bitmap {
-			bitmap[i] = NoConn
+		l := NewLayer(grid.Vertical, 0, chans, length)
+		var bitmap [chans][length]ConnID
+		for ch := range bitmap {
+			for i := range bitmap[ch] {
+				bitmap[ch][i] = NoConn
+			}
 		}
-		live := make(map[*Segment]struct{})
+		var live, dead []handle
 
-		for op := 0; op < 400; op++ {
+		for op := 0; op < 600; op++ {
+			ch := rng.Intn(chans)
+			c := l.Chan(ch)
 			switch rng.Intn(4) {
 			case 0: // add
 				lo := rng.Intn(length)
@@ -185,7 +199,7 @@ func TestChannelRandomOpsAgainstBitmap(t *testing.T) {
 				id := ConnID(rng.Intn(30))
 				free := true
 				for p := lo; p <= hi; p++ {
-					if bitmap[p] != NoConn {
+					if bitmap[ch][p] != NoConn {
 						free = false
 						break
 					}
@@ -196,43 +210,50 @@ func TestChannelRandomOpsAgainstBitmap(t *testing.T) {
 				}
 				if s != nil {
 					for p := lo; p <= hi; p++ {
-						bitmap[p] = id
+						bitmap[ch][p] = id
 					}
-					live[s] = struct{}{}
+					live = append(live, handle{s, ch})
 				}
-			case 1: // remove a random live segment
-				for s := range live {
-					for p := s.Lo; p <= s.Hi; p++ {
-						bitmap[p] = NoConn
-					}
-					c.Remove(s)
-					delete(live, s)
+			case 1: // remove a random live segment through its handle
+				if len(live) == 0 {
 					break
 				}
+				k := rng.Intn(len(live))
+				h := live[k]
+				for p := h.s.Lo; p <= h.s.Hi; p++ {
+					bitmap[h.ch][p] = NoConn
+				}
+				if rng.Intn(2) == 0 {
+					l.Chan(h.ch).Remove(h.s)
+				} else {
+					l.Remove(h.s)
+				}
+				live = append(live[:k], live[k+1:]...)
+				dead = append(dead, h)
 			case 2: // probe
 				pos := rng.Intn(length)
-				if got := c.Free(pos); got != (bitmap[pos] == NoConn) {
+				if got := c.Free(pos); got != (bitmap[ch][pos] == NoConn) {
 					t.Fatalf("trial %d: Free(%d) = %v", trial, pos, got)
 				}
 				if s := c.SegmentAt(pos); s != nil {
-					if bitmap[pos] != s.Owner {
-						t.Fatalf("trial %d: SegmentAt(%d) owner %d, want %d", trial, pos, s.Owner, bitmap[pos])
+					if bitmap[ch][pos] != s.Owner {
+						t.Fatalf("trial %d: SegmentAt(%d) owner %d, want %d", trial, pos, s.Owner, bitmap[ch][pos])
 					}
-				} else if bitmap[pos] != NoConn {
-					t.Fatalf("trial %d: SegmentAt(%d) = nil, want owner %d", trial, pos, bitmap[pos])
+				} else if bitmap[ch][pos] != NoConn {
+					t.Fatalf("trial %d: SegmentAt(%d) = nil, want owner %d", trial, pos, bitmap[ch][pos])
 				}
 			case 3: // free-interval query
 				pos := rng.Intn(length)
 				iv, ok := c.FreeInterval(pos)
-				if ok != (bitmap[pos] == NoConn) {
+				if ok != (bitmap[ch][pos] == NoConn) {
 					t.Fatalf("trial %d: FreeInterval(%d) ok=%v", trial, pos, ok)
 				}
 				if ok {
 					lo, hi := pos, pos
-					for lo > 0 && bitmap[lo-1] == NoConn {
+					for lo > 0 && bitmap[ch][lo-1] == NoConn {
 						lo--
 					}
-					for hi < length-1 && bitmap[hi+1] == NoConn {
+					for hi < length-1 && bitmap[ch][hi+1] == NoConn {
 						hi++
 					}
 					if iv != geom.Iv(lo, hi) {
@@ -240,9 +261,33 @@ func TestChannelRandomOpsAgainstBitmap(t *testing.T) {
 					}
 				}
 			}
-			if msg := c.audit(); msg != "" {
-				t.Fatalf("trial %d op %d: audit: %s", trial, op, msg)
+			if err := l.Audit(); err != nil {
+				t.Fatalf("trial %d op %d: %v", trial, op, err)
 			}
+			for _, h := range live {
+				if !h.s.Stored() || h.s.Channel() != h.ch {
+					t.Fatalf("trial %d op %d: live handle %v: Stored=%v Channel=%d, want channel %d",
+						trial, op, h.s.Interval(), h.s.Stored(), h.s.Channel(), h.ch)
+				}
+				if got := l.Chan(h.ch).SegmentAt(h.s.Lo); got != h.s {
+					t.Fatalf("trial %d op %d: SegmentAt(%d) is not the handle Add returned", trial, op, h.s.Lo)
+				}
+				if bitmap[h.ch][h.s.Hi] != h.s.Owner {
+					t.Fatalf("trial %d op %d: handle %v owner %d, bitmap %d", trial, op, h.s.Interval(), h.s.Owner, bitmap[h.ch][h.s.Hi])
+				}
+			}
+			for _, h := range dead {
+				if h.s.Stored() {
+					t.Fatalf("trial %d op %d: removed handle %v still stored", trial, op, h.s.Interval())
+				}
+			}
+		}
+		n := 0
+		for ch := 0; ch < chans; ch++ {
+			n += l.Chan(ch).Len()
+		}
+		if n != len(live) {
+			t.Fatalf("trial %d: %d segments stored, %d live handles", trial, n, len(live))
 		}
 	}
 }
@@ -374,5 +419,34 @@ func TestSegmentStored(t *testing.T) {
 	l.Chan(0).Remove(s)
 	if s.Stored() {
 		t.Fatal("removed segment still stored")
+	}
+}
+
+// TestRemoveStaleHandlePanics checks that a handle is only ever removed
+// from the channel that holds it: a second Remove of the same handle,
+// or a Remove on the same channel index of another layer, panics.
+func TestRemoveStaleHandlePanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	a := NewLayer(grid.Vertical, 0, 2, 10)
+	b := NewLayer(grid.Vertical, 1, 2, 10)
+	s := a.Add(1, 3, 4, 7)
+	b.Add(1, 3, 4, 7)
+	mustPanic("Remove on another layer", func() { b.Remove(s) })
+	a.Remove(s)
+	mustPanic("second Layer.Remove", func() { a.Remove(s) })
+	mustPanic("second Channel.Remove", func() { a.Chan(1).Remove(s) })
+	if err := a.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Audit(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -9,10 +9,11 @@ import (
 // TreeChannel is the binary-search-tree channel representation that early
 // versions of grr used (Section 12). Segments are keyed by Lo in an
 // unbalanced BST. The paper reports that replacing this structure with
-// the doubly linked list and moving cursor halved total running time,
+// a doubly linked list and moving cursor halved total running time,
 // because channel access while routing one connection is highly
-// localized, not random; the ablation benchmark E-CHAN replays
-// router-like op traces against both structures.
+// localized, not random. Channel keeps that moving cursor over a sorted
+// span array instead of a linked list; the ablation benchmark E-CHAN
+// replays router-like op traces against both structures.
 //
 // TreeChannel mirrors the Channel API closely enough for the benchmark
 // and for differential tests, but the router proper always uses Channel.

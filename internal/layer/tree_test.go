@@ -43,9 +43,10 @@ func TestTreeChannelBasics(t *testing.T) {
 	}
 }
 
-// TestTreeMatchesList drives the tree and the linked-list channel with
-// identical random operation sequences and demands identical observable
-// behaviour; this is the differential test behind the E-CHAN ablation.
+// TestTreeMatchesList drives the tree and the cursor-walked array
+// channel with identical random operation sequences and demands
+// identical observable behaviour; this is the differential test behind
+// the E-CHAN ablation.
 func TestTreeMatchesList(t *testing.T) {
 	const length = 80
 	rng := rand.New(rand.NewSource(9))

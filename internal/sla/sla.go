@@ -34,11 +34,14 @@ type Run struct {
 type Searcher struct {
 	cfg grid.Config
 
-	// visited is an epoch-stamped set of maximal free intervals, keyed
-	// by (channel, interval start): an entry is visited in the current
-	// search iff its stored epoch matches. Epoch-stamping avoids
-	// clearing the map on every call.
-	visited map[uint64]uint32
+	// visited is the set of maximal free intervals seen by the current
+	// search, as a dense stamp array over the layer's cells: the
+	// interval starting at position lo of channel ch is visited iff
+	// visited[ch*stride+lo] == epoch. Each search takes a fresh epoch,
+	// so the array is cleared only when the epoch wraps; it is
+	// reallocated only when a larger layer comes along.
+	visited []uint32
+	stride  int // channel length of the layer being searched
 	epoch   uint32
 
 	// Per-call scratch, reused across calls.
@@ -75,7 +78,6 @@ type trackBox struct {
 func NewSearcher(cfg grid.Config) *Searcher {
 	return &Searcher{
 		cfg:      cfg,
-		visited:  make(map[uint64]uint32, 1024),
 		seenConn: make(map[layer.ConnID]struct{}, 16),
 	}
 }
@@ -154,27 +156,26 @@ type node struct {
 	eff geom.Interval // iv clipped to the box
 }
 
-func visitKey(ch, lo int) uint64 {
-	return uint64(uint32(ch))<<32 | uint64(uint32(lo))
-}
-
 // begin resets the per-call state for a search on l within box.
 func (s *Searcher) begin(l *layer.Layer, box geom.Rect) {
 	s.l = l
 	chans, poswin := s.cfg.ChanSpan(l.Orient, box)
 	s.chans = chans.Intersect(geom.Iv(0, l.NumChannels()-1))
 	s.poswin = poswin.Intersect(geom.Iv(0, l.ChannelLength()-1))
+	s.stride = l.ChannelLength()
+	if cells := l.NumChannels() * s.stride; len(s.visited) < cells {
+		// Fresh zeros are below every live epoch.
+		s.visited = make([]uint32, cells)
+	}
 	s.epoch++
-	if s.epoch == 0 || len(s.visited) > 1<<20 {
-		// Epoch wrapped or the stale-key population grew too large:
-		// start a fresh map.
-		s.visited = make(map[uint64]uint32, 1024)
+	if s.epoch == 0 {
+		clear(s.visited)
 		s.epoch = 1
 	}
 }
 
 func (s *Searcher) mark(n node) bool {
-	k := visitKey(n.ch, n.iv.Lo)
+	k := n.ch*s.stride + n.iv.Lo
 	if s.visited[k] == s.epoch {
 		return false
 	}

@@ -2,6 +2,7 @@ package sla
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -280,29 +281,86 @@ func TestObstructionsNeverReportsPermanent(t *testing.T) {
 	}
 }
 
-// TestSearcherReuse runs interleaved searches on one Searcher and
-// verifies results match fresh searchers (epoch isolation).
+// TestSearcherReuse runs interleaved Trace, Vias and Obstructions calls
+// on one Searcher and verifies every result matches a fresh searcher's
+// (epoch isolation). The boards alternate orientation and change size —
+// a Searcher reads only the pitch and the (channel, position) mapping
+// from its config, so one serves any board of that pitch — so the dense
+// visited array is re-indexed (its stride is the channel length) and
+// regrown along the way; every few trials the epoch is forced to the
+// top of its range so a wrap lands on one of the three calls.
 func TestSearcherReuse(t *testing.T) {
-	cfg := grid.NewConfig(8, 8, 3, 2)
+	cfgs := []grid.Config{
+		grid.NewConfig(3, 3, 3, 2),
+		grid.NewConfig(8, 5, 3, 2),
+		grid.NewConfig(5, 11, 3, 2),
+		grid.NewConfig(8, 8, 3, 2),
+		grid.NewConfig(14, 6, 3, 2),
+	}
 	rng := rand.New(rand.NewSource(77))
-	s := NewSearcher(cfg)
-	for trial := 0; trial < 200; trial++ {
-		orient := grid.Orientation(rng.Intn(2))
-		l := randomLayer(rng, orient, cfg.ChannelCount(orient), cfg.ChannelLength(orient), rng.Intn(30))
-		a := cfg.GridOf(geom.Pt(rng.Intn(8), rng.Intn(8)))
-		ch, pos := cfg.ChanPos(orient, a)
-		l.Chan(ch).Add(pos, pos, layer.PinOwner)
+	s := NewSearcher(cfgs[0])
+	for trial := 0; trial < 400; trial++ {
+		cfg := cfgs[(trial/2)%len(cfgs)]
+		orient := grid.Orientation(trial % 2)
+		l := randomLayer(rng, orient, cfg.ChannelCount(orient), cfg.ChannelLength(orient), rng.Intn(40))
+		a := cfg.GridOf(geom.Pt(rng.Intn(cfg.ViaCols()), rng.Intn(cfg.ViaRows())))
+		b := cfg.GridOf(geom.Pt(rng.Intn(cfg.ViaCols()), rng.Intn(cfg.ViaRows())))
+		for _, p := range []geom.Point{a, b} {
+			ch, pos := cfg.ChanPos(orient, p)
+			l.Chan(ch).Add(pos, pos, layer.PinOwner)
+		}
+		box := cfg.Bounds()
+		if trial%3 == 0 {
+			box = geom.Bounding(a, b).Expand(rng.Intn(4))
+		}
+		if trial%25 == 24 {
+			s.epoch = ^uint32(0) - uint32(rng.Intn(3))
+		}
+		matchesFresh(t, trial, s, cfg, l, a, b, box)
+	}
+}
 
-		got := append([]geom.Point(nil), s.Vias(l, a, cfg.Bounds(), nil)...)
-		want := Vias(cfg, l, a, cfg.Bounds(), nil)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: reused searcher drifted: %v vs %v", trial, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: reused searcher drifted at %d", trial, i)
-			}
-		}
+// TestSearcherEpochWrap pins the wrap itself: the stamps a search left
+// at epoch 1 must not leak into the first search after the epoch wraps
+// back to 1.
+func TestSearcherEpochWrap(t *testing.T) {
+	cfg := grid.NewConfig(8, 8, 3, 2)
+	rng := rand.New(rand.NewSource(5))
+	l := randomLayer(rng, grid.Horizontal, cfg.ChannelCount(grid.Horizontal), cfg.ChannelLength(grid.Horizontal), 20)
+	a, b := cfg.GridOf(geom.Pt(1, 1)), cfg.GridOf(geom.Pt(6, 6))
+	for _, p := range []geom.Point{a, b} {
+		ch, pos := cfg.ChanPos(grid.Horizontal, p)
+		l.Chan(ch).Add(pos, pos, layer.PinOwner)
+	}
+	if len(Vias(cfg, l, a, cfg.Bounds(), nil)) == 0 {
+		t.Fatal("setup: no reachable vias")
+	}
+	s := NewSearcher(cfg)
+	s.Vias(l, a, cfg.Bounds(), nil) // leaves stamps at epoch 1
+	s.epoch = ^uint32(0)
+	matchesFresh(t, 0, s, cfg, l, a, b, cfg.Bounds()) // Trace wraps the epoch
+	if s.epoch != 3 {
+		t.Fatalf("epoch = %d after wrap and two more searches, want 3", s.epoch)
+	}
+}
+
+// matchesFresh runs Trace, Vias and Obstructions on s and on a fresh
+// Searcher and fails the test on any difference.
+func matchesFresh(t *testing.T, trial int, s *Searcher, cfg grid.Config, l *layer.Layer, a, b geom.Point, box geom.Rect) {
+	t.Helper()
+	fresh := NewSearcher(cfg)
+	gotRuns, gotOK := s.Trace(l, a, b, box)
+	wantRuns, wantOK := fresh.Trace(l, a, b, box)
+	if gotOK != wantOK || !slices.Equal(gotRuns, wantRuns) {
+		t.Fatalf("trial %d: reused Trace = %v,%v; fresh %v,%v", trial, gotRuns, gotOK, wantRuns, wantOK)
+	}
+	gotVias := slices.Clone(s.Vias(l, a, box, nil))
+	if wantVias := fresh.Vias(l, a, box, nil); !slices.Equal(gotVias, wantVias) {
+		t.Fatalf("trial %d: reused Vias = %v; fresh %v", trial, gotVias, wantVias)
+	}
+	gotObs := slices.Clone(s.Obstructions(l, a, box))
+	if wantObs := fresh.Obstructions(l, a, box); !slices.Equal(gotObs, wantObs) {
+		t.Fatalf("trial %d: reused Obstructions = %v; fresh %v", trial, gotObs, wantObs)
 	}
 }
 

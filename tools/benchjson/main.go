@@ -12,7 +12,8 @@
 //
 // The environment block records GOMAXPROCS and NumCPU: speedup figures
 // are only meaningful on hardware that can actually run the workers in
-// parallel, and a single-core container will legitimately report ~1×.
+// parallel, and a single-core container will legitimately report 1× or
+// less (the speculation's overhead shows as a ratio below one).
 //
 // Usage:
 //
@@ -72,8 +73,9 @@ type boardResult struct {
 	// engine must expand meaningfully fewer nodes in aggregate while
 	// routing the same number of connections per board.
 	Engines []engineRun `json:"engines"`
-	// Speedup is sequential seconds / fastest concurrent seconds (1.0
-	// when only jc=1 ran).
+	// Speedup is sequential seconds / fastest concurrent seconds: below
+	// 1.0 when every concurrent run was slower than jc=1, and exactly
+	// 1.0 when only jc=1 ran.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -207,10 +209,12 @@ func benchBoard(spec workload.Spec, jcs []int) (boardResult, error) {
 		})
 	}
 	br.Speedup = 1
-	for _, r := range br.Runs[1:] {
-		if s := br.Runs[0].Seconds / r.Seconds; s > br.Speedup {
-			br.Speedup = s
+	if len(br.Runs) > 1 {
+		fastest := br.Runs[1].Seconds
+		for _, r := range br.Runs[2:] {
+			fastest = min(fastest, r.Seconds)
 		}
+		br.Speedup = br.Runs[0].Seconds / fastest
 	}
 
 	// Engine comparison: one sequential goal-engine run against the
