@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -123,6 +124,36 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	if !strings.Contains(out, "checksum") {
 		t.Errorf("corruption diagnosis missing: %s", out)
+	}
+}
+
+// TestResumeRetiredWorkersOption resumes a checkpoint of testDesign
+// written while the snapshot codec still serialized "option workers"
+// (the fixture carries "option workers 4"). The resumed run must land
+// on exactly the routes of an uninterrupted run.
+func TestResumeRetiredWorkersOption(t *testing.T) {
+	dir := t.TempDir()
+	full, resumed := filepath.Join(dir, "full.rte"), filepath.Join(dir, "resumed.rte")
+	if out, code := runGrr(t, "-design", writeDesignFile(t), "-routes", full); code != exitOK {
+		t.Fatalf("uninterrupted run exit code = %d\n%s", code, out)
+	}
+	out, code := runGrr(t, "-resume", filepath.Join("..", "..", "internal", "boardio", "testdata", "workers-option.snap"), "-routes", resumed)
+	if code != exitOK {
+		t.Fatalf("resume exit code = %d, want %d\n%s", code, exitOK, out)
+	}
+	if !strings.Contains(out, "resumed cli-test: pass 1, connection 2/3") {
+		t.Errorf("resume banner missing: %s", out)
+	}
+	want, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed routes differ from the uninterrupted run:\n got\n%s\n want\n%s", got, want)
 	}
 }
 

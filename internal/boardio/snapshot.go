@@ -135,7 +135,6 @@ var optionFields = []optionField{
 	{"nodebudget", func(o *core.Options) int64 { return int64(o.NodeBudget) }, func(o *core.Options, v int64) { o.NodeBudget = int(v) }},
 	{"paranoid", func(o *core.Options) int64 { return boolInt(o.Paranoid) }, func(o *core.Options, v int64) { o.Paranoid = v != 0 }},
 	{"checkpointevery", func(o *core.Options) int64 { return int64(o.CheckpointEvery) }, func(o *core.Options, v int64) { o.CheckpointEvery = int(v) }},
-	{"workers", func(o *core.Options) int64 { return int64(o.Workers) }, func(o *core.Options, v int64) { o.Workers = int(v) }},
 	// engine and recordregions postdate the fields above; snapshots
 	// written before them simply omit the lines, and the zero values they
 	// decode to (EngineClassic, regions off) are exactly what those runs
@@ -143,6 +142,12 @@ var optionFields = []optionField{
 	{"engine", func(o *core.Options) int64 { return int64(o.Engine) }, func(o *core.Options, v int64) { o.Engine = core.Engine(v) }},
 	{"recordregions", func(o *core.Options) int64 { return boolInt(o.RecordRegions) }, func(o *core.Options, v int64) { o.RecordRegions = v != 0 }},
 }
+
+// retiredWorkers names an option the codec no longer writes but still
+// reads, ignoring the value, so files and job specs written before it
+// went away keep decoding. It sized the intra-board speculation engine,
+// removed because it never beat sequential routing (DESIGN §11).
+const retiredWorkers = "workers"
 
 // OptionNames lists the router options the snapshot codec — and the
 // grrd job API, which accepts them as a name→integer map — understand,
@@ -171,8 +176,12 @@ func OptionInts(o *core.Options) []int64 {
 
 // ApplyOption sets the named router option on o from its integer
 // serialization (booleans as 0/1, the time budget as nanoseconds),
-// exactly as the snapshot reader would. Unknown names are an error.
+// exactly as the snapshot reader would: a retired name is accepted and
+// ignored. Unknown names are an error.
 func ApplyOption(o *core.Options, name string, v int64) error {
+	if name == retiredWorkers {
+		return nil
+	}
 	for _, f := range optionFields {
 		if f.name == name {
 			f.set(o, v)
@@ -310,14 +319,16 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 				return nil, fail("option needs name value")
 			}
 			set := opts[f[1]]
-			if set == nil {
+			if set == nil && f[1] != retiredWorkers {
 				return nil, fail("unknown option " + f[1])
 			}
 			v, err := strconv.ParseInt(f[2], 10, 64)
 			if err != nil {
 				return nil, fail("bad option value " + f[2])
 			}
-			set(&s.Opts, v)
+			if set != nil {
+				set(&s.Opts, v)
+			}
 		case "cursor":
 			if len(f) != 4 {
 				return nil, fail("cursor needs pass nextpos prevunrouted")

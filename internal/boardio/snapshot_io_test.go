@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -152,6 +153,58 @@ func TestApplyOptionRoundTrip(t *testing.T) {
 	}
 	if err := ApplyOption(&o, "bogus", 1); err == nil {
 		t.Error("unknown option accepted")
+	}
+}
+
+// TestRetiredWorkersOptionDecodes: testdata/workers-option.snap is a
+// mid-run checkpoint written by the codec while it still serialized
+// "option workers" (here 4, from a run with intra-board workers). It
+// must still decode — the retired line read and ignored — and
+// re-encoding it must drop the line while keeping everything else.
+func TestRetiredWorkersOptionDecodes(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "workers-option.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte("\noption workers 4\n")) {
+		t.Fatal("fixture lost its option workers line")
+	}
+	snap, err := ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("snapshot with option workers rejected: %v", err)
+	}
+	want := core.DefaultOptions()
+	want.CheckpointEvery = 1
+	if got, w := OptionInts(&snap.Opts), OptionInts(&want); !slices.Equal(got, w) {
+		t.Errorf("decoded options %v, want %v", got, w)
+	}
+	if snap.Check.NextPos != 2 || len(snap.Conns) != 3 {
+		t.Errorf("decoded cursor %d over %d conns, want 2 over 3", snap.Check.NextPos, len(snap.Conns))
+	}
+
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte("option workers")) {
+		t.Error("re-encoded snapshot still writes option workers")
+	}
+	again, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(OptionInts(&again.Opts), OptionInts(&snap.Opts)) || len(again.Check.Routes) != len(snap.Check.Routes) {
+		t.Error("re-encoded snapshot does not round-trip")
+	}
+
+	// The job API's name→integer map takes the same path.
+	o := core.DefaultOptions()
+	if err := ApplyOption(&o, "workers", 4); err != nil {
+		t.Errorf("ApplyOption(workers): %v", err)
+	}
+	def := core.DefaultOptions()
+	if !slices.Equal(OptionInts(&o), OptionInts(&def)) {
+		t.Error("ApplyOption(workers) changed the options")
 	}
 }
 

@@ -147,7 +147,20 @@ func TestFleetChaosSoak(t *testing.T) {
 		}
 	}
 
-	// The fenced nodes are fenced on disk, durably.
+	// The fenced nodes are fenced on disk, durably. The last job can
+	// finish before the coordinator's heartbeat deadline fences n4 (20
+	// missed beats), so first wait for the fleet view to show both
+	// fences landed — the coordinator records a fence's epoch only
+	// after writing it to the journal.
+	waitFor(t, 30*time.Second, func() bool {
+		fenced := 0
+		for _, n := range c.Nodes() {
+			if (n.Name == "n3" || n.Name == "n4") && n.Fenced && n.Epoch >= 2 {
+				fenced++
+			}
+		}
+		return fenced == 2
+	}, "n3 and n4 never fenced")
 	for _, name := range []string{"n3", "n4"} {
 		epoch, fenced, err := server.ReadEpoch(journals[name])
 		if err != nil {

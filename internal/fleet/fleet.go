@@ -346,6 +346,9 @@ func (c *Coordinator) fence(n *node) {
 	}
 	c.cfg.Logf("fleet: node %s missed its heartbeat deadline; fenced at epoch %d", n.Name, epoch)
 	c.log.Log("fleet_fence", "node", n.Name, "epoch", epoch)
+	c.mu.Lock()
+	n.Epoch = epoch // the fleet view now shows the fence as durable
+	c.mu.Unlock()
 
 	recs, err := server.LoadRecords(n.Journal, func(path string, err error) {
 		c.cfg.Logf("fleet: skipping corrupt record %s: %v", path, err)

@@ -92,6 +92,14 @@ func TestSpecKey(t *testing.T) {
 	if specKey(a) == specKey(c) {
 		t.Error("different conns share a key")
 	}
+	// "workers" is a retired option the node validates and ignores: it
+	// cannot change the answer, so it must not split the cache.
+	w1, w4 := buildSpec(t, 1), buildSpec(t, 1)
+	w1.Options["workers"] = 1
+	w4.Options["workers"] = 4
+	if specKey(w1) != specKey(w4) || specKey(w1) != specKey(a) {
+		t.Error("specs differing only in workers key differently")
+	}
 }
 
 // TestSpecKeyEngine is the regression test for the cache-keying bug:

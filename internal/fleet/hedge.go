@@ -86,11 +86,19 @@ func (c *Coordinator) noteTerminalLocked(id string, st server.Status) {
 	}
 }
 
-// noteTerminal is noteTerminalLocked for callers not holding mu.
-func (c *Coordinator) noteTerminal(id string, st server.Status) {
+// noteOwnerTerminal is noteTerminalLocked for a status read from the
+// job's owner, for callers not holding mu. It records the status only
+// while owner is still alive and still the job's assignee — a fenced
+// zombie's answer is stale — and reports whether it did.
+func (c *Coordinator) noteOwnerTerminal(id, owner string, st server.Status) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	n, known := c.nodes[owner]
+	if !known || !n.alive() || c.assign[id].node != owner {
+		return false
+	}
 	c.noteTerminalLocked(id, st)
+	return true
 }
 
 // lowerMedian returns the lower median of vs (biased toward the
@@ -271,7 +279,7 @@ func (c *Coordinator) hedge(id, owner string, key uint64) {
 	// The status poll catches jobs that finished since the sweep
 	// snapshot — and captures the result while at it.
 	if st, ok := c.pollStatus(addr, id); ok && st.State.Terminal() {
-		c.noteTerminal(id, st)
+		c.noteOwnerTerminal(id, owner, st)
 		return
 	}
 
@@ -287,7 +295,7 @@ func (c *Coordinator) hedge(id, owner string, key uint64) {
 	if !armed {
 		if st.Terminal() {
 			if pst, ok := c.pollStatus(addr, id); ok {
-				c.noteTerminal(id, pst)
+				c.noteOwnerTerminal(id, owner, pst)
 			}
 		}
 		return // settled, handed off, or mid-commit: no hedge today

@@ -364,10 +364,13 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Only an alive owner is proxied. A fenced node is a zombie: a job
+	// it fails because its journal write bounced off the fence is a
+	// local artifact, not the job's answer — the re-homed copy's is.
 	a, ok := c.assign[id]
 	var addr string
 	if ok {
-		if n, live := c.nodes[a.node]; live {
+		if n, known := c.nodes[a.node]; known && n.alive() {
 			addr = n.Addr
 		}
 	}
@@ -399,8 +402,11 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadGateway, httpError{Error: "bad status from owner: " + err.Error()})
 		return
 	}
-	if st.State.Terminal() {
-		c.noteTerminal(id, st)
+	if st.State.Terminal() && !c.noteOwnerTerminal(id, a.node, st) {
+		// The owner was fenced (or the job re-homed) while the proxy was
+		// in flight: its answer is stale, exactly as above.
+		writeJSON(w, http.StatusServiceUnavailable, httpError{Error: "job owner unavailable; failover in progress"})
+		return
 	}
 	writeJSON(w, http.StatusOK, st)
 }

@@ -56,8 +56,13 @@ func TestFleetSlowSoak(t *testing.T) {
 		wantFP[i] = oracleFP(t, specs[i])
 	}
 
-	base := runSlowPhase(t, "baseline", 0, specs, wantFP, numJobs)
-	hedged := runSlowPhase(t, "hedged", 40*time.Millisecond, specs, wantFP, numJobs)
+	// Placement is a rendezvous hash of each spec's key, so which node
+	// the workload reaches depends on the keys alone. The slow node is
+	// the one placement favours for the most specs: stragglers must
+	// actually queue behind it, whatever the key encoding.
+	slow := favouredNode(specs, []string{"n1", "n2", "n3", "n4"})
+	base := runSlowPhase(t, "baseline", 0, slow, specs, wantFP, numJobs)
+	hedged := runSlowPhase(t, "hedged", 40*time.Millisecond, slow, specs, wantFP, numJobs)
 
 	if base.hedges != 0 {
 		t.Errorf("baseline phase launched %d hedges with hedging off", base.hedges)
@@ -82,12 +87,12 @@ type slowPhase struct {
 	sawSlow bool
 }
 
-// runSlowPhase boots a fresh coordinator and four workers (n4 slow on
-// both CPU and disk), pushes numJobs deadline-carrying jobs through
+// runSlowPhase boots a fresh coordinator and four workers (slowName slow
+// on both CPU and disk), pushes numJobs deadline-carrying jobs through
 // sequentially, and returns the per-job latencies. Before returning it
 // asserts the phase's own zero-loss/zero-dup contract across all four
 // journals.
-func runSlowPhase(t *testing.T, name string, hedge time.Duration,
+func runSlowPhase(t *testing.T, name string, hedge time.Duration, slowName string,
 	specs []server.JobSpec, wantFP []string, numJobs int) slowPhase {
 	t.Helper()
 	var out slowPhase
@@ -122,7 +127,7 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 				ClaimCommit: ClaimClient(ts.URL, nn, nil),
 				Logf:        t.Logf,
 			}
-			if nn == "n4" {
+			if nn == slowName {
 				// The fail-slow node: every board mutation stalls 2ms and
 				// every journal file operation drags 2ms. It is healthy by
 				// every liveness measure — it heartbeats, it answers, it
@@ -158,7 +163,7 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 			seed[st.ID] = i % len(specs)
 			if !out.sawSlow {
 				for _, n := range c.Nodes() {
-					if n.Name == "n4" && n.Slow {
+					if n.Name == slowName && n.Slow {
 						out.sawSlow = true
 					}
 				}
@@ -198,6 +203,29 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 		t.Fatalf("%s phase failed", name)
 	}
 	return out
+}
+
+// favouredNode returns the node that ranks first in rendezvous
+// placement for the most specs, the first name breaking ties.
+func favouredNode(specs []server.JobSpec, names []string) string {
+	first := make(map[string]int)
+	for _, spec := range specs {
+		key := specKey(spec)
+		best := names[0]
+		for _, nn := range names[1:] {
+			if candidateLess(nn, best, rendezvous(nn, key), rendezvous(best, key)) {
+				best = nn
+			}
+		}
+		first[best]++
+	}
+	fav := names[0]
+	for _, nn := range names[1:] {
+		if first[nn] > first[fav] {
+			fav = nn
+		}
+	}
+	return fav
 }
 
 // oracleFP formats the oracle fingerprint the way Status reports it.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,6 +48,9 @@ var (
 // [1, MaxWorkersOption]. Both are generous — the point is rejecting
 // nonsense (negative, zero, or absurd values from buggy or hostile
 // clients) before it reaches the queue, not constraining real use.
+// "workers" is a retired option (it sized the removed intra-board
+// speculation engine): still validated, so no client sees a new error,
+// and otherwise ignored.
 const (
 	MaxDeadlineMs    = int64(24 * 60 * 60 * 1000) // 24h
 	MaxWorkersOption = int64(4096)
@@ -64,14 +66,6 @@ type Config struct {
 	NodeName string
 	// Workers is the routing worker pool size (default 4).
 	Workers int
-	// CPUSlots bounds the total routing goroutines the daemon may run at
-	// once: with a full pool, each of the Workers jobs is allowed at most
-	// CPUSlots/Workers intra-board workers (core.Options.Workers, the
-	// "workers" job option), so jobs × per-job parallelism can never
-	// oversubscribe the machine. Jobs asking for more are clamped at
-	// admission, not rejected. Default: GOMAXPROCS, but never below
-	// Workers — the pool itself is always allowed to run.
-	CPUSlots int
 	// QueueDepth bounds the live jobs — queued, running or awaiting
 	// retry — the daemon will hold (default 16). Beyond it, Submit sheds
 	// load with ErrQueueFull. Jobs recovered from the journal at startup
@@ -158,12 +152,6 @@ type Config struct {
 func (c *Config) setDefaults() error {
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.CPUSlots <= 0 {
-		c.CPUSlots = runtime.GOMAXPROCS(0)
-	}
-	if c.CPUSlots < c.Workers {
-		c.CPUSlots = c.Workers
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
@@ -510,9 +498,9 @@ func buildSnapshot(spec JobSpec, cfg Config) (*boardio.Snapshot, error) {
 		conns = strung.Conns
 	}
 
-	// Request hardening: an explicit "workers" option must be sane
-	// before the clamp below quietly adjusts it — zero, negative and
-	// absurd values are client bugs, and a 400 tells the client so.
+	// Request hardening: an explicit "workers" option must be sane even
+	// though the value is ignored — zero, negative and absurd values are
+	// client bugs, and a 400 tells the client so.
 	if w, ok := spec.Options["workers"]; ok && (w <= 0 || w > MaxWorkersOption) {
 		return nil, fmt.Errorf("server: workers option must be in [1, %d], got %d", MaxWorkersOption, w)
 	}
@@ -528,15 +516,6 @@ func buildSnapshot(spec JobSpec, cfg Config) (*boardio.Snapshot, error) {
 	}
 	if cfg.MaxTimeBudget > 0 && (opts.TimeBudget <= 0 || opts.TimeBudget > cfg.MaxTimeBudget) {
 		opts.TimeBudget = cfg.MaxTimeBudget
-	}
-	// Clamp per-job intra-board parallelism (the "workers" option) so a
-	// full worker pool cannot oversubscribe the machine. Harmless to the
-	// result either way: -jc N is bit-identical to sequential routing.
-	if maxJC := cfg.CPUSlots / cfg.Workers; opts.Workers > maxJC {
-		opts.Workers = maxJC
-	}
-	if opts.Workers < 0 {
-		opts.Workers = 0
 	}
 	return &boardio.Snapshot{
 		Design: d,

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -586,80 +590,108 @@ func writeFile(path, content string) error {
 	})
 }
 
-// TestJobWorkersClampedToCPUSlots: per-job intra-board parallelism (the
-// "workers" job option) is admitted but clamped so that a full worker
-// pool can never run more than CPUSlots routing goroutines in total.
-func TestJobWorkersClampedToCPUSlots(t *testing.T) {
+// TestJobWorkersOptionValidated: the retired "workers" job option is
+// still bounds-checked at admission — nonsense values are client
+// errors, rejected outright (request hardening) — and a sane value is
+// admitted and ignored: the job routes exactly as one without it.
+func TestJobWorkersOptionValidated(t *testing.T) {
 	cfg := testConfig(t)
-	cfg.Workers = 2
-	cfg.CPUSlots = 8
 	if err := cfg.setDefaults(); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		ask, want int64
-	}{
-		{64, 4}, // 8 slots / 2 pool workers = 4 per job, max
-		{4, 4},  // exactly at the bound
-		{3, 3},  // within the bound: passes through
-		{1, 1},
-	}
-	for _, c := range cases {
-		snap, err := buildSnapshot(testSpec(t, 1, map[string]int64{"workers": c.ask}), cfg)
-		if err != nil {
-			t.Fatalf("workers=%d rejected: %v", c.ask, err)
-		}
-		if got := int64(snap.Opts.Workers); got != c.want {
-			t.Errorf("workers=%d admitted as %d, want %d", c.ask, got, c.want)
-		}
-	}
-	// Nonsense values are client errors, rejected outright (request
-	// hardening), not silently normalized.
 	for _, bad := range []int64{0, -5, MaxWorkersOption + 1} {
 		if _, err := buildSnapshot(testSpec(t, 1, map[string]int64{"workers": bad}), cfg); err == nil {
 			t.Errorf("workers=%d admitted, want rejection", bad)
 		}
 	}
-
-	// Defaulting: CPUSlots never drops below the pool size, so on any
-	// machine a job asking for 1 worker (sequential engine) is untouched.
-	one := testConfig(t)
-	one.Workers = 4
-	if err := one.setDefaults(); err != nil {
+	plain, err := buildSnapshot(testSpec(t, 1, nil), cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if one.CPUSlots < one.Workers {
-		t.Errorf("CPUSlots defaulted to %d, below the pool size %d", one.CPUSlots, one.Workers)
+	for _, ok := range []int64{1, 4, MaxWorkersOption} {
+		snap, err := buildSnapshot(testSpec(t, 1, map[string]int64{"workers": ok}), cfg)
+		if err != nil {
+			t.Fatalf("workers=%d rejected: %v", ok, err)
+		}
+		if got, want := boardio.OptionInts(&snap.Opts), boardio.OptionInts(&plain.Opts); !slices.Equal(got, want) {
+			t.Errorf("workers=%d changed the router options:\n got  %v\n want %v", ok, got, want)
+		}
 	}
 }
 
-// TestSubmitConcurrentJobMatchesSequential: a job routed with intra-board
-// workers must finish bit-identically to the daemon-free sequential run —
-// the grrd-level restatement of the -jc determinism contract.
-func TestSubmitConcurrentJobMatchesSequential(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.CPUSlots = 8 // Workers=1, so jobs may use up to 8 intra-board workers
-	spec := testSpec(t, 6, nil)
-	wantFP, wantM := baseline(t, spec, cfg)
-
-	s, err := New(cfg)
+// TestSubmitWorkersOptionHTTP: through the HTTP front door, an
+// out-of-range "workers" option is still a 400 and an in-range one is
+// admitted — the option's retirement changes no client-visible answer.
+func TestSubmitWorkersOptionHTTP(t *testing.T) {
+	s, err := New(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer drainServer(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		workers int64
+		want    int
+	}{{0, http.StatusBadRequest}, {MaxWorkersOption + 1, http.StatusBadRequest}, {4, http.StatusAccepted}} {
+		body, err := json.Marshal(testSpec(t, 2, map[string]int64{"workers": c.workers}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("POST /jobs with workers=%d: status %d, want %d", c.workers, resp.StatusCode, c.want)
+		}
+	}
+}
 
-	st, err := s.Submit(testSpec(t, 6, map[string]int64{"workers": 4}))
+// TestRecoverRetiredWorkersOption: a journal record whose embedded
+// snapshot carries "option workers 4" — as the journal wrote it while
+// the option existed — is recovered by New and the job finishes with
+// the fingerprint of an uninterrupted run of the same design.
+func TestRecoverRetiredWorkersOption(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("..", "boardio", "testdata", "workers-option.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin := waitTerminal(t, s, st.ID)
+	var sb strings.Builder
+	sb.WriteString("grrdjob v1\nid job-000003\nstate interrupted\nattempt 1\nerror \"\"\naborted \"\"\nsnapshot begin\n")
+	sb.Write(fixture)
+	sb.WriteString("snapshot end\n")
+	fmt.Fprintf(&sb, "checksum %016x\n", fnv64a([]byte(sb.String())))
+	cfg := testConfig(t)
+	if err := writeFile(journalPath(cfg.JournalDir, "job-000003"), sb.String()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The oracle: the same design and connections, routed from scratch.
+	snap, err := boardio.ReadSnapshot(bytes.NewReader(fixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Check = freshCheckpoint(len(snap.Conns))
+	b, r, err := snap.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := r.Route(); res.Aborted != core.AbortNone || !res.Complete() {
+		t.Fatalf("oracle run did not complete: %v", res)
+	}
+
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("recovery refused the record: %v", err)
+	}
+	defer drainServer(t, s)
+	fin := waitTerminal(t, s, "job-000003")
 	if fin.State != StateDone || fin.AuditOK == nil || !*fin.AuditOK {
-		t.Fatalf("job did not finish clean: %+v", fin)
+		t.Fatalf("recovered job did not finish clean: %+v", fin)
 	}
-	if fp := fingerprintString(wantFP); fin.Fingerprint != fp {
-		t.Errorf("fingerprint = %s, want %s", fin.Fingerprint, fp)
-	}
-	if *fin.Metrics != wantM {
-		t.Errorf("metrics diverged from sequential run:\n got  %+v\n want %+v", *fin.Metrics, wantM)
+	if want := fingerprintString(b.Fingerprint()); fin.Fingerprint != want {
+		t.Errorf("fingerprint = %s, want %s", fin.Fingerprint, want)
 	}
 }
